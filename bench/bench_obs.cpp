@@ -8,23 +8,15 @@
 //   2. raw span cost: spans/second through a live tracer, and through a
 //      null tracer (the disabled path the harness always executes);
 //   3. the diagnostics-only contract: both tables must be byte-identical
-//      (exit code 1 if not);
-//   4. multi-process telemetry: the same suite through the supervisor
-//      with per-worker trace/metrics shards streaming vs without, plus
-//      the shard-aggregation pass itself (merge rate, and the
-//      correctness check that merged counters equal the cell count and
-//      the telemetry-on table stayed byte-identical).
+//      (exit code 1 if not).
 //
 // Usage: bench_obs [--scale=f] [--jobs=N]
 
 #include <chrono>
 #include <cstdio>
 #include <cstring>
-#include <filesystem>
 
 #include "bench_common.hpp"
-#include "distrib/supervisor.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
@@ -96,82 +88,18 @@ int main(int argc, char** argv) {
   std::printf("  observed table == bare table: %s\n",
               identical ? "yes" : "NO — OBSERVABILITY PERTURBS RESULTS");
 
-  // 4. Multi-process telemetry: per-worker shard streaming vs bare
-  //    supervisor, then the aggregation pass over the shards.
-  const auto micro = kernels::microkernel_suite(args.scale);
-  const std::size_t mp_cells = micro.size() * 5;
-  const auto shard_base =
-      std::filesystem::temp_directory_path() / "a64fxcc_bench_obs";
-  const int procs = 3;
-  const auto mp_run = [&](bool telemetry, const char* tag,
-                          obs::Tracer* tracer_ptr) {
-    const auto dir = shard_base / tag;
-    std::filesystem::remove_all(dir);
-    a64fxcc::distrib::SupervisorOptions sopt;
-    sopt.study.scale = args.scale;
-    sopt.study.jobs = 1;
-    sopt.study.tracer = tracer_ptr;
-    sopt.procs = procs;
-    sopt.telemetry = telemetry;
-    sopt.shard_dir = dir.string();
-    return a64fxcc::distrib::Supervisor(std::move(sopt));
-  };
-  auto sup_bare = mp_run(false, "bare", nullptr);
-  t0 = std::chrono::steady_clock::now();
-  const auto mp_table_bare = sup_bare.run_suite(micro);
-  const double t_mp_bare = seconds_since(t0);
-  obs::Tracer sup_tracer;
-  auto sup_obs = mp_run(true, "observed", &sup_tracer);
-  t0 = std::chrono::steady_clock::now();
-  const auto mp_table_obs = sup_obs.run_suite(micro);
-  const double t_mp_obs = seconds_since(t0);
-  const double mp_overhead = t_mp_obs / t_mp_bare - 1.0;
-
-  t0 = std::chrono::steady_clock::now();
-  obs::Aggregator agg;
-  const bool agg_ok = sup_obs.load_telemetry(agg);
-  const auto merged = agg.merged_registry();
-  const auto merged_trace = agg.merged_trace_json();
-  const double t_agg = seconds_since(t0);
-  const double agg_cells_per_sec =
-      t_agg > 0 ? static_cast<double>(agg.stats().cells) / t_agg : 0;
-  const bool mp_identical =
-      report::render_csv(mp_table_bare) == report::render_csv(mp_table_obs) &&
-      agg_ok && merged.counter("jobs_started") == mp_cells &&
-      !merged_trace.empty();
-  std::printf(
-      "  procs=%d: %6.3fs bare, %6.3fs with shard telemetry (%+.1f%% "
-      "overhead)\n",
-      procs, t_mp_bare, t_mp_obs, 100.0 * mp_overhead);
-  std::printf(
-      "  aggregate: %zu cells + %zu spans from %zu+%zu shards in %.4fs "
-      "(%.0f cells/s)\n",
-      agg.stats().cells, agg.stats().spans, agg.stats().trace_shards,
-      agg.stats().metrics_shards, t_agg, agg_cells_per_sec);
-  std::printf("  merged counters/table consistent: %s\n",
-              mp_identical ? "yes" : "NO — AGGREGATION IS WRONG");
-  std::filesystem::remove_all(shard_base);
-
   benchutil::claim("obs.study_overhead", "~0", overhead, "");
   benchutil::claim("obs.live_spans_per_sec", ">1e6", live_per_sec, "");
   benchutil::claim("obs.null_span_ns", "~0", 1e9 * t_null / kSpans, "ns");
-  benchutil::claim("obs.mp_overhead", "~0", mp_overhead, "");
-  benchutil::claim("obs.aggregate_cells_per_sec", ">1e4", agg_cells_per_sec,
-                   "");
 
   std::printf(
       "\n{\"bench\":\"obs\",\"scale\":%g,\"jobs\":%d,"
       "\"bare_seconds\":%.4f,\"observed_seconds\":%.4f,"
       "\"obs_overhead\":%.4f,\"spans\":%zu,"
       "\"live_spans_per_sec\":%.0f,\"null_spans_per_sec\":%.0f,"
-      "\"mp_bare_seconds\":%.4f,\"mp_observed_seconds\":%.4f,"
-      "\"mp_overhead\":%.4f,\"mp_spans\":%zu,\"mp_cells\":%zu,"
-      "\"aggregate_seconds\":%.4f,\"aggregate_cells_per_sec\":%.0f,"
-      "\"mp_identical\":%s,\"identical\":%s}\n",
+      "\"identical\":%s}\n",
       args.scale, jobs, t_bare, t_observed, overhead, tracer.size(),
-      live_per_sec, null_per_sec, t_mp_bare, t_mp_obs, mp_overhead,
-      agg.stats().spans, agg.stats().cells, t_agg, agg_cells_per_sec,
-      mp_identical ? "true" : "false", identical ? "true" : "false");
+      live_per_sec, null_per_sec, identical ? "true" : "false");
 
-  return identical && mp_identical ? 0 : 1;
+  return identical ? 0 : 1;
 }

@@ -1,5 +1,6 @@
 #include "core/args.hpp"
 
+#include <algorithm>
 #include <cerrno>
 #include <cmath>
 #include <cstdlib>
@@ -27,6 +28,22 @@ std::optional<double> parse_double(const std::string& s) {
   if (end == s.c_str() || *end != '\0' || errno == ERANGE) return std::nullopt;
   if (!std::isfinite(v)) return std::nullopt;
   return v;
+}
+
+std::optional<std::string> unknown_flag(int argc, const char* const* argv,
+                                        int first,
+                                        std::span<const std::string_view> known) {
+  for (int i = first; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--")) continue;
+    const bool ok = std::any_of(known.begin(), known.end(),
+                                [arg](std::string_view k) {
+                                  return k.ends_with('=') ? arg.starts_with(k)
+                                                          : arg == k;
+                                });
+    if (!ok) return std::string(arg);
+  }
+  return std::nullopt;
 }
 
 }  // namespace a64fxcc::core::args

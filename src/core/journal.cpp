@@ -27,9 +27,8 @@ std::uint64_t hash_str(const std::string& s) {
   return h;
 }
 
-// The line codec lives in exec/jsonio.hpp, shared with the lease queue
-// and the telemetry shards: one escaping convention across every
-// durable log.
+// The line codec lives in exec/jsonio.hpp, shared with the obs
+// exporters and the `obs report` parser: one escaping convention.
 using exec::jsonio::field_num;
 using exec::jsonio::field_str;
 using exec::jsonio::get_num;

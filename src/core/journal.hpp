@@ -65,8 +65,7 @@ class Journal {
 
   /// Load every valid line of `path` into the in-memory index.
   /// Duplicate keys — within the file or against entries already
-  /// loaded from earlier files (shard merges) — dedupe
-  /// deterministically: the last complete line wins, in file order and
+  /// loaded from earlier files — dedupe deterministically: the last complete line wins, in file order and
   /// load-call order.  Returns the number of *distinct* keys this call
   /// added; a missing file loads 0 (fresh start, not an error).  When
   /// `deduped` is non-null it is incremented by the number of valid

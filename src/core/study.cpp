@@ -2,11 +2,107 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
+#include <thread>
 
-#include "core/cell.hpp"
 #include "stats/stats.hpp"
 
 namespace a64fxcc::core {
+
+namespace {
+
+/// Longest real sleep one retry may cost; the *chosen* backoff is
+/// reported to on_retry uncapped, but the actual wait is bounded so
+/// fault-heavy tests stay fast.
+constexpr double kMaxBackoffSleep = 0.05;
+
+/// Deterministic backoff before retry `attempt + 1`: exponential in the
+/// attempt with a jitter factor in [0.5, 1.5) drawn from the cell's RNG
+/// stream — a pure function of cell identity, never of wall-clock or
+/// scheduling.
+double retry_backoff(double base, const std::string& benchmark,
+                     const std::string& compiler, int attempt) {
+  const std::uint64_t h = runtime::cell_stream(benchmark, compiler) ^
+                          (0xBAC0FF00ULL + static_cast<std::uint64_t>(attempt));
+  const double jitter = 0.5 + runtime::hash_u01(h);
+  const int shift = std::min(attempt, 20);
+  return base * static_cast<double>(1ULL << shift) * jitter;
+}
+
+/// Outcome of one cell evaluation through the policy path.
+struct CellResult {
+  runtime::MeasuredRun run;
+  /// Cache/phase metrics accumulated across every attempt.
+  runtime::RunMetrics metrics;
+  /// The attempt index that produced `run` (0 when the first try
+  /// landed).
+  int attempt = 0;
+};
+
+/// Notification before each retry sleep: the attempt that failed, its
+/// classified outcome, and the deterministic backoff chosen.
+using RetryFn =
+    std::function<void(int attempt, const runtime::MeasuredRun& failed,
+                       double backoff_seconds)>;
+
+/// Evaluate one cell under the study's full policy path: deterministic
+/// fault injection, retry with exponential backoff (opt.max_retries
+/// extra tries), and failure classification.  A pure function of
+/// (options, cell identity): results never depend on which thread
+/// evaluated the cell.  Anything the harness throws becomes a
+/// classified outcome — CellError keeps its status, any other
+/// exception is Crashed.
+CellResult evaluate_cell(const runtime::Harness& h, const StudyOptions& opt,
+                         const kernels::Benchmark& bench,
+                         const compilers::CompilerSpec& spec,
+                         const RetryFn& on_retry) {
+  CellResult res;
+  runtime::MeasuredRun& m = res.run;
+  int attempt = 0;
+  for (;; ++attempt) {
+    runtime::RunContext ctx;
+    ctx.injected =
+        opt.faults.decide(opt.seed, bench.name(), spec.name, attempt);
+    ctx.deadline_seconds = opt.deadline_seconds;
+    ctx.attempt = attempt;
+    ctx.tracer = opt.tracer;
+    try {
+      m = h.run(spec, bench, ctx, &res.metrics);
+    } catch (const runtime::CellError& e) {
+      m = {};
+      m.benchmark = bench.name();
+      m.compiler = spec.name;
+      m.status = e.status();
+      m.diagnostic = e.what();
+    } catch (const std::exception& e) {
+      m = {};
+      m.benchmark = bench.name();
+      m.compiler = spec.name;
+      m.status = runtime::CellStatus::Crashed;
+      m.diagnostic = e.what();
+    } catch (...) {
+      m = {};
+      m.benchmark = bench.name();
+      m.compiler = spec.name;
+      m.status = runtime::CellStatus::Crashed;
+      m.diagnostic = "non-standard exception escaped the harness";
+    }
+    if (m.valid() || attempt >= opt.max_retries) break;
+    const double backoff = retry_backoff(opt.retry_backoff_seconds,
+                                         bench.name(), spec.name, attempt);
+    if (on_retry) on_retry(attempt, m, backoff);
+    if (backoff > 0) {
+      const auto backoff_span =
+          obs::scoped(opt.tracer, "backoff", bench.name(), spec.name);
+      std::this_thread::sleep_for(
+          std::chrono::duration<double>(std::min(backoff, kMaxBackoffSleep)));
+    }
+  }
+  res.attempt = attempt;
+  return res;
+}
+
+}  // namespace
 
 Study::Study(StudyOptions opt)
     : opt_(std::move(opt)),
@@ -108,8 +204,7 @@ report::Table Study::run_suite(
                             .backoff_seconds = backoff});
           }
         };
-        CellResult res =
-            evaluate_cell(harness_, opt_, bench, spec, 0, on_retry);
+        CellResult res = evaluate_cell(harness_, opt_, bench, spec, on_retry);
         const runtime::RunMetrics& metrics = res.metrics;
         const runtime::MeasuredRun& m = res.run;
         const int attempt = res.attempt;

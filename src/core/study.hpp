@@ -67,7 +67,7 @@ struct StudyOptions {
   /// placement of a cell in one perf::evaluate_sweep call through the
   /// estimate cache's sweep API.  Off (`--no-batch-evaluate`) keeps the
   /// per-placement loop — tables are byte-identical either way at any
-  /// --jobs/--procs, faults on/off; the toggle exists for A/B
+  /// --jobs, faults on/off; the toggle exists for A/B
   /// benchmarking (`bench_perf_model`) and the byte-identity tests.
   /// Only effective with memoize_estimates on.
   bool batch_evaluate = true;
@@ -75,7 +75,7 @@ struct StudyOptions {
   /// (the default) scores every candidate placement noise-free and runs
   /// the 3-trial noisy measurement only on the successive-halving
   /// survivors; `exhaustive` keeps the paper's full sweep.  Tables are
-  /// byte-identical either way — at any --jobs/--procs, cache on/off,
+  /// byte-identical either way — at any --jobs, cache on/off,
   /// faults on/off (the A/B identity tests) — because survivors keep
   /// their original-index noise streams; see runtime/search.hpp.
   runtime::SearchMode placement_search = runtime::SearchMode::Halving;

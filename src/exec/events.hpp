@@ -48,15 +48,6 @@ enum class EventKind : std::uint8_t {
   PlacementSearch,  ///< per-cell guided-search summary (count = noisy
                     ///< survivor trials run, attempt = candidates pruned
                     ///< across all rounds); absent under exhaustive search
-  // -- multi-process lifecycle (src/distrib/ supervisor) --------------
-  WorkerSpawned,    ///< supervisor forked a worker process (worker =
-                    ///< spawn index, count = pid)
-  WorkerExited,     ///< a worker was reaped (worker = spawn index,
-                    ///< count = pid, detail = "exit N"/"signal N")
-  WorkerRespawned,  ///< a replacement worker was forked after a crash
-                    ///< (worker = new spawn index, count = new pid)
-  CellReleased,     ///< leases of a dead/expired owner were released for
-                    ///< re-lease (count = cells released, detail = owner)
 };
 
 [[nodiscard]] inline const char* to_string(EventKind k) {
@@ -73,10 +64,6 @@ enum class EventKind : std::uint8_t {
     case EventKind::EstimateSweep: return "estimate-sweep";
     case EventKind::SearchRound: return "search-round";
     case EventKind::PlacementSearch: return "placement-search";
-    case EventKind::WorkerSpawned: return "worker-spawned";
-    case EventKind::WorkerExited: return "worker-exited";
-    case EventKind::WorkerRespawned: return "worker-respawned";
-    case EventKind::CellReleased: return "cell-released";
   }
   return "?";
 }
@@ -214,19 +201,6 @@ class StreamSink final : public EventSink {
                           "  [w%d] %-18s x %-10s phase %-8s %.6fs\n", e.worker,
                           e.benchmark.c_str(), e.compiler.c_str(),
                           e.detail.c_str(), e.wall_seconds);
-        break;
-      case EventKind::WorkerSpawned:
-      case EventKind::WorkerExited:
-      case EventKind::WorkerRespawned:
-      case EventKind::CellReleased:
-        // Worker death and re-leasing are normal events in a
-        // crash-isolated study, but worth a line at Progress: the user
-        // should see that a shard died and the study kept going.
-        if (level_ < LogLevel::Progress) return;
-        n = std::snprintf(buf, sizeof buf, "  [w%d] %s pid %llu %s\n",
-                          e.worker, to_string(e.kind),
-                          static_cast<unsigned long long>(e.count),
-                          e.detail.c_str());
         break;
       case EventKind::EstimateSweep:
         if (level_ < LogLevel::Debug) return;

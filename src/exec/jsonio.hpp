@@ -1,9 +1,8 @@
 #pragma once
-// Line-oriented JSON helpers shared by every durable log and telemetry
-// writer in the tree: the resume journal (core/journal.cpp), the lease
-// queue op log (distrib/work_queue.cpp), the telemetry shards
-// (obs/shard.cpp), the live status file (distrib/status.cpp) and the
-// `obs report` parser.  One codec, one escaping convention:
+// Line-oriented JSON helpers shared by every JSON writer and reader in
+// the tree: the resume journal (core/journal.cpp), the trace and metrics
+// exporters (obs/trace.cpp, obs/metrics.cpp) and the `obs report`
+// parser.  One codec, one escaping convention:
 //
 //   * writers emit one complete JSON object per line, strings escaped
 //     for '"' and '\\' only, doubles at %.17g (round-trips every finite
@@ -11,8 +10,8 @@
 //   * readers extract fields by key from a single line without a full
 //     parser — keys are unique within one line by construction — and
 //     treat any malformed/torn line as absent (std::nullopt), never as
-//     an error.  That torn-tail tolerance is what makes all of these
-//     logs safe to append to from processes that may die mid-write.
+//     an error.  That torn-tail tolerance is what makes the journal
+//     safe to append to from a process that may die mid-write.
 //
 // Header-only and dependency-free so every layer (exec is the lowest
 // common library) can share it.

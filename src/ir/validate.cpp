@@ -34,6 +34,9 @@ class Validator {
     }
     // Loop tree.
     for (const auto& r : k_.roots()) node(*r);
+    // A kernel that does nothing models as 0 s, and a 0 s baseline
+    // turns every gain ratio into a division by zero.
+    if (stmts_ == 0) error("kernel '" + k_.name() + "' has no statements");
     // Dead outputs: output-only tensors that are never written.
     for (const auto& t : k_.tensors()) {
       if (!t.is_input && !written_.count(t.id))
@@ -70,6 +73,7 @@ class Validator {
   }
 
   void stmt(const Stmt& s) {
+    ++stmts_;
     access(s.target, /*write=*/true);
     expr(*s.value);
   }
@@ -132,6 +136,7 @@ class Validator {
   std::set<VarId> params_;
   std::set<VarId> in_scope_;
   std::set<TensorId> written_;
+  std::size_t stmts_ = 0;
   std::vector<Diagnostic> diags_;
 };
 

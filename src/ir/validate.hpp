@@ -6,8 +6,9 @@
 // contain semantic slips the interpreter would only surface mid-run as
 // exceptions: rank mismatches, uses of undeclared variables, shadowed
 // loop variables, zero steps, non-positive dimensions, writes to
-// never-read tensors, and subscripts referencing variables outside
-// their scope.  `validate` finds them all up front.
+// never-read tensors, subscripts referencing variables outside their
+// scope, and kernels with no statements at all.  `validate` finds them
+// all up front.
 
 #include <string>
 #include <vector>

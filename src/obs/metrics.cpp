@@ -29,8 +29,8 @@ void append_hist(std::string& out, const Histogram& h) {
   out += buf;
 }
 
-}  // namespace
-
+/// The event-folded counter name for a terminal cell status
+/// ("cells_ok", "cells_compile_error", ...).
 const char* status_counter_name(runtime::CellStatus st) {
   switch (st) {
     case runtime::CellStatus::Ok: return "cells_ok";
@@ -41,6 +41,8 @@ const char* status_counter_name(runtime::CellStatus st) {
   }
   return "cells_unknown";
 }
+
+}  // namespace
 
 void Registry::merge(const Registry& o) {
   for (const auto& [name, v] : o.counters) counters[name] += v;
@@ -148,33 +150,18 @@ void MetricsSink::on_event(const exec::Event& e) {
     // Guided placement search: one SearchRound per halving round (count
     // = frontier entering, attempt = pruned) and one PlacementSearch
     // summary per cell (count = survivor trials, attempt = total
-    // pruned).  Deterministic per cell, so the merged multi-process
-    // registry folds to the same totals (obs::Aggregator mirrors this).
+    // pruned).  Deterministic per cell, so the totals are independent
+    // of the worker count.
     case exec::EventKind::SearchRound:
       counters["search_rounds"] += 1;
       histograms["search_round_frontier"].add(static_cast<double>(e.count));
       break;
     case exec::EventKind::PlacementSearch:
       counters["search_survivor_trials"] += e.count;
-      // Guarded so the counter key set matches the merged registry's
-      // (Aggregator erases never-incremented counters).
+      // Guarded so a study that prunes nothing has no such key.
       if (e.attempt > 0)
         counters["search_candidates_pruned"] +=
             static_cast<std::uint64_t>(e.attempt);
-      break;
-    // Multi-process lifecycle: spawn/exit counts plus the two headline
-    // crash-isolation counters, worker_respawns and cells_released.
-    case exec::EventKind::WorkerSpawned:
-      counters["workers_spawned"] += 1;
-      break;
-    case exec::EventKind::WorkerExited:
-      counters["workers_exited"] += 1;
-      break;
-    case exec::EventKind::WorkerRespawned:
-      counters["worker_respawns"] += 1;
-      break;
-    case exec::EventKind::CellReleased:
-      counters["cells_released"] += e.count;
       break;
   }
 }
@@ -208,11 +195,7 @@ std::string MetricsSink::to_json() const {
 }
 
 bool write_metrics(const MetricsSink& m, const std::string& path) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) return false;
-  const std::string json = m.to_json();
-  const bool ok = std::fwrite(json.data(), 1, json.size(), f) == json.size();
-  return std::fclose(f) == 0 && ok;
+  return write_registry(m.snapshot(), path);
 }
 
 bool write_registry(const Registry& r, const std::string& path) {

@@ -3,9 +3,9 @@
 //
 // Registry is the passive data half: named counters and fixed-bucket
 // histograms, mergeable (counter sums, bucket-wise histogram merge) so
-// per-process registries of a multi-process study can be combined into
-// one document, and exportable as JSON with the hit-rate gauges
-// recomputed from the merged counters.
+// the registries of several studies can be folded into one document,
+// and exportable as JSON with the hit-rate gauges recomputed from the
+// counters.
 //
 // MetricsSink is an EventSink that folds every engine event into a
 // Registry (cells by terminal status, cache hits/misses, retries;
@@ -64,9 +64,9 @@ struct Histogram {
   }
 
   /// Fold another histogram in.  Buckets align by construction (the
-  /// bounds are fixed), so the merge is exact: merging shards produces
-  /// the histogram a single process observing all samples would have
-  /// built.  Merging an empty histogram is the identity.
+  /// bounds are fixed), so the merge is exact: it produces the
+  /// histogram one observer of all samples would have built.  Merging
+  /// an empty histogram is the identity.
   void merge(const Histogram& o) noexcept {
     for (int i = 0; i < kBuckets; ++i) buckets[i] += o.buckets[i];
     overflow += o.overflow;
@@ -79,13 +79,8 @@ struct Histogram {
   }
 };
 
-/// The event-folded counter name for a terminal cell status
-/// ("cells_ok", "cells_compile_error", ...).  Shared by the sink and
-/// the cross-process aggregator so merged registries key identically.
-[[nodiscard]] const char* status_counter_name(runtime::CellStatus st);
-
 /// Passive counters + histograms, the mergeable data behind
-/// MetricsSink and the unit the cross-process Aggregator combines.
+/// MetricsSink.
 struct Registry {
   std::map<std::string, std::uint64_t> counters;
   std::map<std::string, Histogram> histograms;
@@ -106,7 +101,7 @@ struct Registry {
   /// "analysis_cache_hit_rate":..},
   /// "histograms":{name:{count,sum,min,max,buckets:[{le,count}..]}}}.
   /// Gauges are recomputed from the (possibly merged) counters, never
-  /// stored — a merged registry's hit rates are the fleet-wide rates.
+  /// stored — a merged registry's hit rates are the combined rates.
   [[nodiscard]] std::string to_json() const;
 };
 
@@ -141,9 +136,7 @@ class MetricsSink final : public exec::EventSink {
   /// JSON carries the tier state alongside the event-folded counters.
   void fold_cache_stats(const cache::Service& svc);
 
-  /// A copy of the registry as folded so far (for cross-process
-  /// aggregation: the supervisor's own event stream merges with the
-  /// worker telemetry shards).
+  /// A copy of the registry as folded so far.
   [[nodiscard]] Registry snapshot() const;
 
   /// `snapshot()` rendered as JSON (see Registry::to_json).
@@ -158,7 +151,7 @@ class MetricsSink final : public exec::EventSink {
 /// Write `m.to_json()` to `path`.  Returns false on I/O failure.
 bool write_metrics(const MetricsSink& m, const std::string& path);
 
-/// Write `r.to_json()` to `path` (the merged-registry flavor).
+/// Write `r.to_json()` to `path`.
 bool write_registry(const Registry& r, const std::string& path);
 
 }  // namespace a64fxcc::obs

@@ -1,8 +1,7 @@
 #pragma once
 // `a64fxcc obs report` — offline summaries and diffs over the JSON
-// artifacts this tree writes: a metrics registry (`--metrics=out.json`,
-// single-process or merged) or a Chrome trace (`--trace=out.json`,
-// single-process or merged).
+// artifacts this tree writes: a metrics registry (`--metrics=out.json`)
+// or a Chrome trace (`--trace=out.json`).
 //
 //   obs report A.json               summarize one artifact
 //   obs report A.json B.json        diff two runs of the same kind:
@@ -13,7 +12,7 @@
 //                                   of B grew more than 25% over A
 //
 // The parser reads only our own writers' output (obs::Registry::to_json
-// and the tracer/aggregator trace JSON) — keys are unique per scope by
+// and Tracer::to_chrome_json) — keys are unique per scope by
 // construction — and is tolerant in the durable-log tradition: unknown
 // fields are skipped, a file that is neither kind is an error, never a
 // crash.

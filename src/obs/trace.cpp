@@ -53,15 +53,9 @@ Span scoped(Tracer* t, const char* name, const std::string& benchmark,
   return t == nullptr ? Span{} : Span{t, name, benchmark, compiler};
 }
 
-void Tracer::set_record_hook(std::function<void(const Record&)> hook) {
-  const std::lock_guard<std::mutex> lock(mu_);
-  hook_ = std::move(hook);
-}
-
 void Tracer::record(Record r) {
   const std::lock_guard<std::mutex> lock(mu_);
   records_.push_back(std::move(r));
-  if (hook_) hook_(records_.back());
 }
 
 std::vector<Tracer::Record> Tracer::records() const {

@@ -20,7 +20,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -97,28 +96,8 @@ class Tracer {
   };
 
   Tracer() = default;
-  /// A tracer whose timestamps count from `epoch` instead of its own
-  /// construction time.  The multi-process supervisor forks workers
-  /// with the parent tracer's epoch so every process's spans share one
-  /// time axis and the merged trace interleaves correctly.
-  explicit Tracer(std::chrono::steady_clock::time_point epoch)
-      : epoch_(epoch) {}
   Tracer(const Tracer&) = delete;
   Tracer& operator=(const Tracer&) = delete;
-
-  /// The zero point of this tracer's microsecond timestamps
-  /// (steady_clock is machine-wide per boot, so the epoch survives
-  /// fork and can be handed to child processes).
-  [[nodiscard]] std::chrono::steady_clock::time_point epoch() const noexcept {
-    return epoch_;
-  }
-
-  /// Streaming hook: called with every completed record, under the
-  /// tracer's lock (serialized; keep it quick).  Workers use it to
-  /// append each span to a durable trace shard the moment it closes,
-  /// so a SIGKILLed process leaves every finished span on disk.  Set
-  /// it before the first span opens; pass {} to clear.
-  void set_record_hook(std::function<void(const Record&)> hook);
 
   /// Thread-safe: called by ~Span from any worker.
   void record(Record r);
@@ -147,7 +126,6 @@ class Tracer {
  private:
   mutable std::mutex mu_;
   std::vector<Record> records_;
-  std::function<void(const Record&)> hook_;
   std::unordered_map<std::thread::id, int> tids_;
   std::atomic<std::uint64_t> seq_{0};
   std::chrono::steady_clock::time_point epoch_ =

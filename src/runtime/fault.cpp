@@ -25,7 +25,6 @@ const char* to_string(FaultKind k) {
     case FaultKind::Compile: return "compile";
     case FaultKind::Runtime: return "runtime";
     case FaultKind::Hang: return "hang";
-    case FaultKind::Crash: return "crash";
   }
   return "?";
 }
@@ -44,7 +43,6 @@ FaultKind FaultPlan::decide(std::uint64_t seed, const std::string& benchmark,
   if (u < compile) return FaultKind::Compile;
   if (u < compile + runtime) return FaultKind::Runtime;
   if (u < compile + runtime + hang) return FaultKind::Hang;
-  if (u < compile + runtime + hang + crash) return FaultKind::Crash;
   return FaultKind::None;
 }
 
@@ -67,20 +65,19 @@ std::optional<FaultPlan> FaultPlan::parse(const std::string& text) {
     if (key == "compile") plan.compile = rate;
     else if (key == "runtime") plan.runtime = rate;
     else if (key == "hang") plan.hang = rate;
-    else if (key == "crash") plan.crash = rate;
     else return std::nullopt;
     if (comma == std::string::npos) break;
     pos = comma + 1;
   }
-  if (plan.compile + plan.runtime + plan.hang + plan.crash > 1.0)
+  if (plan.compile + plan.runtime + plan.hang > 1.0)
     return std::nullopt;
   return plan;
 }
 
 std::string FaultPlan::spec() const {
   char buf[128];
-  std::snprintf(buf, sizeof buf, "compile:%g,runtime:%g,hang:%g,crash:%g",
-                compile, runtime, hang, crash);
+  std::snprintf(buf, sizeof buf, "compile:%g,runtime:%g,hang:%g", compile,
+                runtime, hang);
   return buf;
 }
 

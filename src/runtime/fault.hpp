@@ -31,7 +31,7 @@ class Tracer;  // forward: keeps this header dependency-light
 
 namespace a64fxcc::runtime {
 
-enum class FaultKind : std::uint8_t { None, Compile, Runtime, Hang, Crash };
+enum class FaultKind : std::uint8_t { None, Compile, Runtime, Hang };
 
 [[nodiscard]] const char* to_string(FaultKind k);
 
@@ -43,18 +43,12 @@ struct FaultPlan {
   double compile = 0;  ///< probability of an injected compile error
   double runtime = 0;  ///< probability of an injected runtime error
   double hang = 0;     ///< probability of an injected hang
-  /// Probability of an injected process death.  Inside a distrib worker
-  /// this _exit(139)s the whole process mid-cell (the supervisor
-  /// re-leases the cell); evaluated in-process it degrades to a
-  /// classified CellStatus::Crashed outcome, so `--inject-faults=crash:p`
-  /// is always safe to pass without `--procs`.
-  double crash = 0;
   /// Extra salt so a fault schedule never correlates with measurement
   /// noise drawn from the same cell stream.
   std::uint64_t salt = 0xFA017ULL;
 
   [[nodiscard]] bool enabled() const noexcept {
-    return compile > 0 || runtime > 0 || hang > 0 || crash > 0;
+    return compile > 0 || runtime > 0 || hang > 0;
   }
 
   /// The fault (if any) injected into one evaluation attempt of one
@@ -66,7 +60,7 @@ struct FaultPlan {
                                  const std::string& compiler,
                                  int attempt) const;
 
-  /// Parse "compile:0.05,runtime:0.02,hang:0.01,crash:0.1" (any subset,
+  /// Parse "compile:0.05,runtime:0.02,hang:0.01" (any subset,
   /// any order; rates in [0,1]).  Returns nullopt on malformed input.
   [[nodiscard]] static std::optional<FaultPlan> parse(const std::string& text);
 

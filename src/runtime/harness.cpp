@@ -486,16 +486,6 @@ MeasuredRun Harness::run(const compilers::CompilerSpec& spec,
           throw CellError(CellStatus::RuntimeError, buf);
         }
         if (ctx.injected == FaultKind::Hang) simulate_hang(ctx);
-        // In-process fallback for a crash fault the caller did not turn
-        // into a real _exit (no distrib worker around the harness): a
-        // classified crash, deterministic like every other injection.
-        if (ctx.injected == FaultKind::Crash) {
-          char buf[80];
-          std::snprintf(buf, sizeof buf,
-                        "injected crash fault at performance run %d (attempt %d)",
-                        r + 1, ctx.attempt);
-          throw CellError(CellStatus::Crashed, buf);
-        }
       }
       samples.push_back(
           noisy(t_model, bench.traits.noise_cv, base ^ (0xABCD0000ULL + r)));

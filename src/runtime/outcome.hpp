@@ -57,9 +57,9 @@ enum class CellStatus : std::uint8_t {
   return "?";
 }
 
-/// Every status, in enum order.  Consumers that render one row/counter
-/// per status (merged metrics, `obs report`) iterate this instead of
-/// hand-listing the enum, so a new status cannot be silently dropped.
+/// Every status, in enum order.  Consumers that handle each status
+/// (parse_status below) iterate this instead of hand-listing the enum,
+/// so a new status cannot be silently dropped.
 inline constexpr CellStatus kAllStatuses[] = {
     CellStatus::Ok,   CellStatus::CompileError, CellStatus::RuntimeError,
     CellStatus::Timeout, CellStatus::Crashed,

@@ -1,13 +1,17 @@
-// Strict CLI value parsing (core/args.hpp): the helpers behind --jobs,
-// --procs, --retries, --deadline, --scale, --lease-deadline, and the
-// --placement-search mode keyword.  The old atoi/atof path turned
-// "--jobs=all" into jobs=0 silently; these must parse the whole string
-// or reject it.
+// Strict CLI parsing (core/args.hpp): the value helpers behind --jobs,
+// --retries, --deadline, --scale, --search-keep and the
+// --placement-search mode keyword, and the unknown-flag check of the
+// study commands.  The old atoi/atof path turned "--jobs=all" into
+// jobs=0 silently; these must parse the whole string or reject it, and
+// a flag no command knows must be rejected rather than ignored.
 
 #include <gtest/gtest.h>
 
 #include <climits>
+#include <optional>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "core/args.hpp"
 #include "runtime/search.hpp"
@@ -16,6 +20,7 @@ namespace {
 
 using a64fxcc::core::args::parse_double;
 using a64fxcc::core::args::parse_int;
+using a64fxcc::core::args::unknown_flag;
 using a64fxcc::runtime::parse_search_mode;
 using a64fxcc::runtime::SearchMode;
 
@@ -84,6 +89,50 @@ TEST(ParseSearchKeep, BoundaryValuesParseForTheGuard) {
   EXPECT_EQ(parse_int("0"), 0);    // parses; CLI rejects with exit 1
   EXPECT_EQ(parse_int("-3"), -3);  // parses; CLI rejects with exit 1
   EXPECT_FALSE(parse_int("two").has_value());
+}
+
+constexpr std::string_view kKnown[] = {"--scale=", "--jobs=", "--csv",
+                                       "--fail-fast"};
+
+std::optional<std::string> first_unknown(std::vector<const char*> argv) {
+  return unknown_flag(static_cast<int>(argv.size()), argv.data(), 2, kKnown);
+}
+
+TEST(UnknownFlag, KnownFlagsAndPositionalsPass) {
+  EXPECT_FALSE(first_unknown({"a64fxcc", "table"}).has_value());
+  EXPECT_FALSE(first_unknown({"a64fxcc", "table", "micro", "--scale=0.5",
+                              "--jobs=2", "--csv", "--fail-fast"})
+                   .has_value());
+  // Only "--" arguments are flags; positionals and single-dash words
+  // are left to the command.
+  EXPECT_FALSE(first_unknown({"a64fxcc", "table", "micro", "-v"}).has_value());
+  // Value checking is the value parsers' job, not this one's.
+  EXPECT_FALSE(first_unknown({"a64fxcc", "table", "--jobs=abc"}).has_value());
+}
+
+TEST(UnknownFlag, RetiredMultiProcessFlagsAreRejected) {
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "micro", "--procs=2"}),
+            "--procs=2");
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "micro", "--shard-dir=x"}),
+            "--shard-dir=x");
+  EXPECT_EQ(first_unknown({"a64fxcc", "run", "2mm", "--lease-deadline=5"}),
+            "--lease-deadline=5");
+}
+
+TEST(UnknownFlag, ReportsTheFirstUnknownFlag) {
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "micro", "--csv", "--bogus=3",
+                           "--procs=2"}),
+            "--bogus=3");
+}
+
+TEST(UnknownFlag, SwitchesMatchWholeAndValueFlagsNeedTheirEquals) {
+  // A switch takes no value, and a value flag without '=' is not it.
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "--csv=1"}), "--csv=1");
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "--jobs"}), "--jobs");
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "--csvx"}), "--csvx");
+  EXPECT_EQ(first_unknown({"a64fxcc", "table", "--"}), "--");
+  // argv[0..first) is never inspected.
+  EXPECT_FALSE(first_unknown({"--x", "--y"}).has_value());
 }
 
 }  // namespace

@@ -6,13 +6,10 @@
 
 #include <gtest/gtest.h>
 
-#include <filesystem>
 #include <string>
 #include <vector>
 
 #include "core/study.hpp"
-#include "distrib/supervisor.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "report/figure2.hpp"
 #include "runtime/search.hpp"
@@ -224,66 +221,6 @@ TEST(PlacementSearchIdentity, SearchKeepPreservesIdentity) {
   }
 }
 
-TEST(PlacementSearchIdentity, TablesByteIdenticalUnderProcs) {
-  // Multi-process A/B: a 3-worker supervisor run under halving must
-  // produce the exhaustive single-process table, and the telemetry
-  // shards must merge into exactly the counters the in-process sink
-  // folded (same key set, same values, same frontier histogram).
-  auto suite = kernels::microkernel_suite(0.05);
-  if (suite.size() > 6)
-    suite.erase(suite.begin() + 6, suite.end());
-  auto fiber = kernels::fiber_suite(0.05);
-  for (std::size_t i = 0; i < 3 && i < fiber.size(); ++i)
-    suite.push_back(std::move(fiber[i]));
-
-  core::StudyOptions base;
-  base.scale = 0.05;
-  base.jobs = 1;
-  base.placement_search = SearchMode::Exhaustive;
-  const std::string ref_csv =
-      report::render_csv(core::Study(base).run_suite(suite));
-
-  obs::MetricsSink sink;
-  core::StudyOptions inproc = base;
-  inproc.placement_search = SearchMode::Halving;
-  inproc.sink = &sink;
-  const std::string halving_csv =
-      report::render_csv(core::Study(inproc).run_suite(suite));
-  EXPECT_EQ(halving_csv, ref_csv);
-  const obs::Registry local = sink.snapshot();
-
-  const std::string dir =
-      testing::TempDir() + "a64fxcc_search_procs";
-  std::filesystem::remove_all(dir);
-  distrib::SupervisorOptions sopt;
-  sopt.study = base;
-  sopt.study.placement_search = SearchMode::Halving;
-  sopt.procs = 3;
-  sopt.telemetry = true;
-  sopt.shard_dir = dir;
-  distrib::Supervisor sup(std::move(sopt));
-  const auto t = sup.run_suite(suite);
-  EXPECT_EQ(report::render_csv(t), ref_csv);
-
-  obs::Aggregator agg;
-  ASSERT_TRUE(sup.load_telemetry(agg));
-  const obs::Registry merged = agg.merged_registry();
-  for (const char* name : {"search_rounds", "search_survivor_trials",
-                           "search_candidates_pruned"}) {
-    EXPECT_GT(local.counter(name), 0u) << name;
-    EXPECT_EQ(merged.counter(name), local.counter(name)) << name;
-  }
-  const auto lh = local.histograms.find("search_round_frontier");
-  const auto mh = merged.histograms.find("search_round_frontier");
-  ASSERT_NE(lh, local.histograms.end());
-  ASSERT_NE(mh, merged.histograms.end());
-  EXPECT_EQ(mh->second.count, lh->second.count);
-  EXPECT_EQ(mh->second.sum, lh->second.sum);
-  EXPECT_EQ(mh->second.min, lh->second.min);
-  EXPECT_EQ(mh->second.max, lh->second.max);
-  std::filesystem::remove_all(dir);
-}
-
 TEST(PlacementSearchMetrics, SearchCountersAreSchedulingIndependent) {
   // The halving schedule is a pure function of each cell's model
   // estimates, never of worker scheduling: every search counter must be
@@ -337,19 +274,31 @@ TEST(EstimateCacheMetrics, StudyCountsPlanAndEstimateCacheTraffic) {
   // against one plan: expect plan misses ~ distinct compiled kernels
   // and heavy estimate-cache traffic with a nonzero hit count (measure
   // phase + characterization + FJtrad reference reuse).
-  core::StudyOptions opt;
-  opt.scale = 0.05;
-  opt.jobs = 2;
-  core::Study study(std::move(opt));
-  const auto suite = kernels::top500_suite(0.05);
-  const auto t = study.run_suite(suite);
-  ASSERT_EQ(t.rows.size(), suite.size());
-  const auto& ecache = study.harness().estimate_cache();
-  EXPECT_GT(ecache.plan_count(), 0u);
-  EXPECT_GT(ecache.size(), 0u);
-  EXPECT_GT(ecache.stats().hits, 0u);
-  // Every evaluation either hit or populated the cache.
-  EXPECT_EQ(ecache.stats().misses, ecache.size());
+  for (const int jobs : {1, 2}) {
+    core::StudyOptions opt;
+    opt.scale = 0.05;
+    opt.jobs = jobs;
+    core::Study study(std::move(opt));
+    const auto suite = kernels::top500_suite(0.05);
+    const auto t = study.run_suite(suite);
+    ASSERT_EQ(t.rows.size(), suite.size());
+    const auto& ecache = study.harness().estimate_cache();
+    const auto st = ecache.stats();
+    EXPECT_GT(ecache.plan_count(), 0u) << "jobs=" << jobs;
+    EXPECT_GT(ecache.size(), 0u) << "jobs=" << jobs;
+    EXPECT_GT(st.hits, 0u) << "jobs=" << jobs;
+    // The first insertion of a key wins, so every entry was inserted
+    // exactly once at any worker count.
+    EXPECT_EQ(st.inserts, ecache.size()) << "jobs=" << jobs;
+    if (jobs == 1) {
+      // Serially, every evaluation either hit or populated the cache.
+      EXPECT_EQ(st.misses, ecache.size());
+    } else {
+      // Both racers of a concurrent miss count as misses
+      // (perf/estimate_cache.hpp), so misses may exceed the entries.
+      EXPECT_GE(st.misses, ecache.size()) << "jobs=" << jobs;
+    }
+  }
 }
 
 TEST(EstimateCacheMetrics, DisabledCacheStaysCold) {

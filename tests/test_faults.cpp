@@ -56,7 +56,6 @@ TEST(Taxonomy, FaultKindToString) {
   EXPECT_STREQ(to_string(FaultKind::Compile), "compile");
   EXPECT_STREQ(to_string(FaultKind::Runtime), "runtime");
   EXPECT_STREQ(to_string(FaultKind::Hang), "hang");
-  EXPECT_STREQ(to_string(FaultKind::Crash), "crash");
 }
 
 TEST(Taxonomy, CellErrorCarriesStatus) {
@@ -97,17 +96,9 @@ TEST(FaultPlan, ParseRejectsMalformedSpecs) {
   EXPECT_FALSE(
       runtime::FaultPlan::parse("compile:0.6,runtime:0.6").has_value());
   EXPECT_FALSE(
-      runtime::FaultPlan::parse("crash:0.6,runtime:0.6").has_value());
-}
-
-TEST(FaultPlan, CrashRateParsesAndRoundTrips) {
-  const auto p = runtime::FaultPlan::parse("crash:0.25");
-  ASSERT_TRUE(p.has_value());
-  EXPECT_DOUBLE_EQ(p->crash, 0.25);
-  EXPECT_TRUE(p->enabled());
-  const auto rt = runtime::FaultPlan::parse(p->spec());
-  ASSERT_TRUE(rt.has_value());
-  EXPECT_DOUBLE_EQ(rt->crash, 0.25);
+      runtime::FaultPlan::parse("hang:0.6,runtime:0.6").has_value());
+  // The retired process-death key is an unknown key like any other.
+  EXPECT_FALSE(runtime::FaultPlan::parse("crash:0.1").has_value());
 }
 
 TEST(FaultPlan, DecideIsDeterministicAndAttemptDependent) {
@@ -279,34 +270,6 @@ TEST(Injection, RetryEventsAreEmitted) {
     EXPECT_FALSE(e.detail.empty());
     EXPECT_GE(e.backoff_seconds, 0.0);
   }
-}
-
-TEST(Injection, InProcessCrashFaultsClassifyAndRetryLikeAnyFault) {
-  // Without a crash hook (no worker process to kill), an injected crash
-  // fault classifies as Crashed and retries through the normal policy
-  // loop; recovered cells carry clean-run values bit-for-bit.
-  core::StudyOptions flaky;
-  flaky.faults.crash = 0.3;
-  const auto once = run_microkernels(flaky);
-  std::size_t crashed = 0;
-  for (const auto& row : once.rows)
-    for (const auto& cell : row.cells)
-      if (cell.status == runtime::CellStatus::Crashed) {
-        ++crashed;
-        EXPECT_NE(cell.diagnostic.find("injected crash fault"),
-                  std::string::npos);
-      }
-  EXPECT_GT(crashed, 0u);
-  auto patient = flaky;
-  patient.max_retries = 4;
-  patient.retry_backoff_seconds = 0;
-  const auto retried = run_microkernels(patient);
-  const auto clean = run_microkernels({});
-  for (std::size_t r = 0; r < retried.rows.size(); ++r)
-    for (std::size_t c = 0; c < retried.rows[r].cells.size(); ++c)
-      if (retried.rows[r].cells[c].valid())
-        EXPECT_EQ(retried.rows[r].cells[c].best_seconds,
-                  clean.rows[r].cells[c].best_seconds);
 }
 
 TEST(Injection, StudyDeadlineClassifiesHangsAsTimeout) {

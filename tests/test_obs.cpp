@@ -7,7 +7,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -15,10 +14,8 @@
 #include <vector>
 
 #include "core/study.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
-#include "obs/shard.hpp"
 #include "obs/trace.hpp"
 #include "report/explain.hpp"
 
@@ -543,269 +540,6 @@ TEST(Metrics, RegistryMergeSumsCountersAndRecomputesGauges) {
   ASSERT_EQ(doc.histograms.count("cell_wall_seconds"), 1u);
   EXPECT_EQ(doc.histograms.at("cell_wall_seconds").count, 2u);
   EXPECT_NEAR(doc.histograms.at("cell_wall_seconds").sum, 1.0, 1e-9);
-}
-
-// ---- telemetry shard codecs -----------------------------------------------
-
-obs::CellTelemetry sample_cell() {
-  obs::CellTelemetry c;
-  c.key = 0xdeadbeefcafe1234ull;
-  c.benchmark = "2mm";
-  c.compiler = "FJtrad";
-  c.status = "ok";
-  c.gen = 1;
-  c.attempt = 3;
-  c.pid = 4242;
-  c.compile_cache_hits = 1;
-  c.compile_cache_misses = 2;
-  c.plan_cache_hits = 3;
-  c.plan_cache_misses = 4;
-  c.estimate_cache_hits = 5;
-  c.estimate_cache_misses = 6;
-  c.analysis_cache_hits = 7;
-  c.analysis_cache_misses = 8;
-  c.analysis_cache_invalidations = 9;
-  c.cache_evictions = 10;
-  c.compile_seconds = 0.25;
-  c.explore_seconds = 0.5;
-  c.measure_seconds = 0.125;
-  c.wall_seconds = 1.0;
-  c.backoffs = {0.0, 0.125};
-  return c;
-}
-
-TEST(Shard, CellRecordRoundTrips) {
-  const auto c = sample_cell();
-  const auto line = obs::encode_cell(c);
-  const auto d = obs::decode_cell(line);
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->key, c.key);
-  EXPECT_EQ(d->benchmark, c.benchmark);
-  EXPECT_EQ(d->compiler, c.compiler);
-  EXPECT_EQ(d->status, c.status);
-  EXPECT_EQ(d->gen, c.gen);
-  EXPECT_EQ(d->attempt, c.attempt);
-  EXPECT_EQ(d->pid, c.pid);
-  EXPECT_EQ(d->compile_cache_hits, c.compile_cache_hits);
-  EXPECT_EQ(d->compile_cache_misses, c.compile_cache_misses);
-  EXPECT_EQ(d->plan_cache_hits, c.plan_cache_hits);
-  EXPECT_EQ(d->plan_cache_misses, c.plan_cache_misses);
-  EXPECT_EQ(d->estimate_cache_hits, c.estimate_cache_hits);
-  EXPECT_EQ(d->estimate_cache_misses, c.estimate_cache_misses);
-  EXPECT_EQ(d->analysis_cache_hits, c.analysis_cache_hits);
-  EXPECT_EQ(d->analysis_cache_misses, c.analysis_cache_misses);
-  EXPECT_EQ(d->analysis_cache_invalidations, c.analysis_cache_invalidations);
-  EXPECT_EQ(d->cache_evictions, c.cache_evictions);
-  EXPECT_DOUBLE_EQ(d->compile_seconds, c.compile_seconds);
-  EXPECT_DOUBLE_EQ(d->explore_seconds, c.explore_seconds);
-  EXPECT_DOUBLE_EQ(d->measure_seconds, c.measure_seconds);
-  EXPECT_DOUBLE_EQ(d->wall_seconds, c.wall_seconds);
-  ASSERT_EQ(d->backoffs.size(), 2u);
-  EXPECT_DOUBLE_EQ(d->backoffs[1], 0.125);
-  EXPECT_EQ(d->retries(), 2u);  // attempt 3 counted from gen 1
-}
-
-TEST(Shard, SpanRecordRoundTripsWithAndWithoutArgs) {
-  obs::Tracer::Record r;
-  r.name = "compile";
-  r.benchmark = "atax";
-  r.compiler = "GNU";
-  r.tid = 3;
-  r.begin_seq = 10;
-  r.end_seq = 11;
-  r.begin_us = 1.5;
-  r.end_us = 2.5;
-  const auto d = obs::decode_span(obs::encode_span(r, 77));
-  ASSERT_TRUE(d.has_value());
-  EXPECT_EQ(d->pid, 77);
-  EXPECT_EQ(d->record.name, "compile");
-  EXPECT_EQ(d->record.benchmark, "atax");
-  EXPECT_EQ(d->record.compiler, "GNU");
-  EXPECT_EQ(d->record.tid, 3);
-  EXPECT_EQ(d->record.begin_seq, 10u);
-  EXPECT_EQ(d->record.end_seq, 11u);
-  EXPECT_DOUBLE_EQ(d->record.begin_us, 1.5);
-  EXPECT_DOUBLE_EQ(d->record.end_us, 2.5);
-  r.benchmark.clear();
-  r.compiler.clear();
-  const auto bare = obs::decode_span(obs::encode_span(r, 77));
-  ASSERT_TRUE(bare.has_value());
-  EXPECT_TRUE(bare->record.benchmark.empty());
-  EXPECT_TRUE(bare->record.compiler.empty());
-}
-
-TEST(Shard, DecodersRejectTornAlienAndFutureLines) {
-  const auto cell = obs::encode_cell(sample_cell());
-  obs::Tracer::Record r;
-  r.name = "cell";
-  r.tid = 2;
-  r.begin_seq = 1;
-  r.end_seq = 2;
-  r.begin_us = 10;
-  r.end_us = 20;
-  const auto span = obs::encode_span(r, 99);
-  // Wrong kind for the decoder at hand.
-  EXPECT_FALSE(obs::decode_cell(span).has_value());
-  EXPECT_FALSE(obs::decode_span(cell).has_value());
-  // Torn tails and noise.
-  EXPECT_FALSE(obs::decode_cell(cell.substr(0, cell.size() / 2)).has_value());
-  EXPECT_FALSE(obs::decode_span(span.substr(0, span.size() / 2)).has_value());
-  EXPECT_FALSE(obs::decode_cell("").has_value());
-  EXPECT_FALSE(obs::decode_span("not json").has_value());
-  // A future format version is skipped, never misread.
-  std::string future = cell;
-  const auto at = future.find("\"v\":1");
-  ASSERT_NE(at, std::string::npos);
-  future.replace(at, 5, "\"v\":9");
-  EXPECT_FALSE(obs::decode_cell(future).has_value());
-}
-
-TEST(Shard, WriterNewlineTerminatesTornTail) {
-  const std::string path = testing::TempDir() + "a64fxcc_shard_torn.jsonl";
-  std::remove(path.c_str());
-  {
-    std::ofstream f(path, std::ios::binary);
-    f << R"({"v":1,"kind":"cell","key":"00)";  // writer died mid-line
-  }
-  obs::ShardWriter w;
-  ASSERT_TRUE(w.open(path));
-  w.append(obs::encode_cell(sample_cell()));
-  w.close();
-  std::ifstream f(path);
-  std::vector<std::string> lines;
-  for (std::string line; std::getline(f, line);) lines.push_back(line);
-  ASSERT_EQ(lines.size(), 2u);  // the fresh line never glued onto the tail
-  EXPECT_FALSE(obs::decode_cell(lines[0]).has_value());
-  EXPECT_TRUE(obs::decode_cell(lines[1]).has_value());
-  std::remove(path.c_str());
-}
-
-// ---- cross-process aggregation --------------------------------------------
-
-std::string fresh_shard_dir(const std::string& name) {
-  const auto dir =
-      std::filesystem::path(testing::TempDir()) / ("a64fxcc_obs_" + name);
-  std::filesystem::remove_all(dir);
-  std::filesystem::create_directories(dir);
-  return dir.string();
-}
-
-void write_lines(const std::string& path,
-                 const std::vector<std::string>& lines) {
-  std::ofstream f(path, std::ios::binary);
-  for (const auto& l : lines) f << l << '\n';
-}
-
-TEST(Aggregate, DedupesCellsLastWinsInSortedFilenameOrder) {
-  const auto dir = fresh_shard_dir("dedupe");
-  auto first = sample_cell();
-  first.gen = 0;
-  auto second = first;  // same key: the cell re-leased after a kill
-  second.gen = 1;
-  second.pid = 5555;
-  auto other = sample_cell();
-  other.key = 0x1111;
-  write_lines(dir + "/" + obs::metrics_shard_name(0),
-              {obs::encode_cell(first), "{\"torn", obs::encode_cell(other)});
-  write_lines(dir + "/" + obs::metrics_shard_name(1),
-              {obs::encode_cell(second)});
-  obs::Aggregator agg;
-  ASSERT_TRUE(agg.load_dir(dir));
-  EXPECT_EQ(agg.stats().metrics_shards, 2u);
-  EXPECT_EQ(agg.stats().cells, 2u);
-  EXPECT_EQ(agg.stats().duplicate_cells, 1u);
-  EXPECT_EQ(agg.stats().skipped_lines, 1u);
-  const auto cells = agg.cells();
-  ASSERT_EQ(cells.size(), 2u);  // cell-key order: 0x1111 first
-  EXPECT_EQ(cells[0].key, 0x1111u);
-  EXPECT_EQ(cells[1].key, first.key);
-  EXPECT_EQ(cells[1].gen, 1);  // the later shard's record won
-  EXPECT_EQ(cells[1].pid, 5555);
-  obs::Aggregator missing;
-  EXPECT_FALSE(missing.load_dir(dir + "/no-such-subdir"));
-}
-
-TEST(Aggregate, MergedRegistryFoldsDedupedCells) {
-  const auto dir = fresh_shard_dir("fold");
-  const auto a = sample_cell();  // ok, attempt 3 from gen 1 -> 2 retries
-  auto b = sample_cell();
-  b.key = 0x2222;
-  b.status = "compiler error";
-  b.gen = 0;
-  b.attempt = 0;
-  b.backoffs.clear();
-  write_lines(dir + "/" + obs::metrics_shard_name(0),
-              {obs::encode_cell(a), obs::encode_cell(b)});
-  obs::Aggregator agg;
-  ASSERT_TRUE(agg.load_dir(dir));
-  auto reg = agg.merged_registry();
-  EXPECT_EQ(reg.counter("jobs_started"), 2u);
-  EXPECT_EQ(reg.counter("cells_ok"), 1u);
-  EXPECT_EQ(reg.counter("cells_compile_error"), 1u);
-  EXPECT_EQ(reg.counter("retries"), 2u);
-  EXPECT_EQ(reg.counter("compile_cache_hits"), 2u);
-  EXPECT_EQ(reg.counter("analysis_cache_misses"), 16u);
-  EXPECT_EQ(reg.counter("cells_crashed"), 0u);  // zero counters pruned
-  EXPECT_EQ(reg.counters.count("cells_crashed"), 0u);
-  EXPECT_EQ(reg.histograms["cell_wall_seconds"].count, 2u);
-  EXPECT_EQ(reg.histograms["backoff_seconds"].count, 2u);  // a's backoffs
-  EXPECT_EQ(reg.histograms["phase_compile_seconds"].count, 2u);
-  // An explicitly added registry (the supervisor's own sink) merges in.
-  obs::Registry extra;
-  extra.counters["workers_spawned"] = 3;
-  agg.add_registry(extra);
-  EXPECT_EQ(agg.merged_registry().counter("workers_spawned"), 3u);
-}
-
-TEST(Aggregate, MergedTraceNamesEveryProcessRow) {
-  const auto dir = fresh_shard_dir("trace");
-  obs::Tracer::Record outer;
-  outer.name = "cell";
-  outer.benchmark = "2mm";
-  outer.compiler = "GNU";
-  outer.tid = 1;
-  outer.begin_seq = 1;
-  outer.end_seq = 4;
-  outer.begin_us = 0;
-  outer.end_us = 30;
-  auto inner = outer;
-  inner.name = "compile";
-  inner.begin_seq = 2;
-  inner.end_seq = 3;
-  inner.begin_us = 5;
-  inner.end_us = 20;
-  write_lines(dir + "/" + obs::trace_shard_name(0),
-              {obs::encode_span(outer, 100), obs::encode_span(inner, 100)});
-  obs::Aggregator agg;
-  ASSERT_TRUE(agg.load_dir(dir));
-  obs::Tracer::Record sup = outer;
-  sup.name = "sup:reduce";
-  sup.benchmark.clear();
-  sup.compiler.clear();
-  agg.add_process(99, "supervisor", {sup});
-  ASSERT_EQ(agg.processes().size(), 2u);
-  EXPECT_EQ(agg.stats().spans, 3u);
-  const auto json = agg.merged_trace_json();
-  EXPECT_NE(json.find("\"process_name\""), std::string::npos);
-  EXPECT_NE(json.find("worker-0000 (pid 100)"), std::string::npos);
-  EXPECT_NE(json.find("supervisor (pid 99)"), std::string::npos);
-  const auto occurrences = [&](const std::string& needle) {
-    std::size_t n = 0;
-    for (std::size_t at = json.find(needle); at != std::string::npos;
-         at = json.find(needle, at + 1))
-      ++n;
-    return n;
-  };
-  EXPECT_EQ(occurrences("\"ph\":\"B\""), 3u);
-  EXPECT_EQ(occurrences("\"ph\":\"E\""), 3u);
-  // Round-trips through the report loader as a trace document.
-  const std::string path = dir + "/merged.json";
-  ASSERT_TRUE(obs::write_merged_trace(agg, path));
-  std::string err;
-  const auto doc = obs::load_report_doc(path, &err);
-  ASSERT_TRUE(doc.has_value()) << err;
-  EXPECT_EQ(doc->kind, obs::ReportDoc::Kind::Trace);
-  EXPECT_FALSE(doc->phases.empty());
 }
 
 // ---- obs report -----------------------------------------------------------

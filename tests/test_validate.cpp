@@ -6,8 +6,10 @@
 
 #include "compilers/compiler_model.hpp"
 #include "ir/builder.hpp"
+#include "ir/parser.hpp"
 #include "ir/validate.hpp"
 #include "kernels/benchmark.hpp"
+#include "kernels/synthetic.hpp"
 
 namespace {
 
@@ -111,6 +113,33 @@ TEST(Validate, ZeroStepIsAnError) {
       Node::make_stmt(std::move(acc2), Expr::make_const(1.0)));
   k.add_root(std::move(loop));
   EXPECT_FALSE(is_valid(k));
+}
+
+TEST(Validate, KernelWithoutStatementsIsAnError) {
+  // A header-only file used to model as "0 s" for every compiler.
+  const Kernel empty = parse_kernel("kernel empty\n");
+  EXPECT_FALSE(is_valid(empty));
+  EXPECT_NE(to_string(validate(empty)).find("no statements"),
+            std::string::npos);
+  // Loops alone do not count: the nest must hold a statement.
+  const Kernel hollow =
+      parse_kernel("kernel hollow\nparam N = 4\nfor i = 0 .. N { }\n");
+  EXPECT_FALSE(is_valid(hollow));
+  EXPECT_NE(to_string(validate(hollow)).find("no statements"),
+            std::string::npos);
+}
+
+TEST(Validate, SyntheticKernelsValidate) {
+  kernels::SyntheticOptions opt;
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    opt.allow_indirect = seed % 2 == 1;
+    opt.allow_parallel = seed % 3 == 0;
+    opt.max_depth = 1 + static_cast<int>(seed % 4);
+    opt.max_stmts = 1 + static_cast<int>(seed % 3);
+    const Kernel k = kernels::synthetic_kernel(seed, opt);
+    EXPECT_TRUE(is_valid(k)) << "seed " << seed << "\n"
+                             << to_string(validate(k));
+  }
 }
 
 TEST(Validate, AllRegistryBenchmarksValidate) {

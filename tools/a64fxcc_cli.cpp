@@ -14,20 +14,21 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <optional>
+#include <span>
 #include <sstream>
 #include <string>
+#include <string_view>
+#include <vector>
 
 #include "cache/service.hpp"
 #include "codegen/codegen_c.hpp"
 #include "core/args.hpp"
 #include "core/study.hpp"
-#include "distrib/status.hpp"
-#include "distrib/supervisor.hpp"
 #include "ir/parser.hpp"
 #include "ir/validate.hpp"
 #include "ir/printer.hpp"
-#include "obs/aggregate.hpp"
 #include "obs/metrics.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
@@ -103,36 +104,25 @@ bool arg_jobs(int argc, char** argv, int* out) {
   return true;
 }
 
-/// Multi-process flags shared by `table` and `run`.  procs == 0 after a
-/// successful parse means --procs was absent (in-process path).
-struct DistribFlags {
-  int procs = 0;
-  std::string shard_dir = "a64fxcc-shards";
-  double lease_deadline = 30;
-};
+/// Flags every study command (`table`, `run`) reads; see usage().
+constexpr std::string_view kStudyFlags[] = {
+    "--scale=", "--jobs=", "--progress", "--log-level=", "--trace=",
+    "--metrics=", "--retries=", "--deadline=", "--fail-fast", "--resume=",
+    "--journal=", "--inject-faults=", "--no-estimate-cache",
+    "--no-analysis-cache", "--no-batch-evaluate", "--placement-search=",
+    "--search-keep=", "--cache-budget=", "--cache-stats"};
 
-bool parse_distrib_flags(int argc, char** argv, DistribFlags* out) {
-  if (!int_flag(argc, argv, "--procs=", &out->procs)) return false;
-  if (arg_value(argc, argv, "--procs=") != nullptr && out->procs <= 0) {
-    std::fprintf(stderr, "--procs must be >= 1\n");
-    return false;
-  }
-  if (out->procs <= 0) return true;
-  if (const char* v = arg_value(argc, argv, "--shard-dir="))
-    out->shard_dir = v;
-  if (!double_flag(argc, argv, "--lease-deadline=", &out->lease_deadline))
-    return false;
-  if (out->lease_deadline <= 0) {
-    std::fprintf(stderr, "--lease-deadline must be > 0\n");
-    return false;
-  }
-  if (arg_value(argc, argv, "--journal=") != nullptr ||
-      arg_value(argc, argv, "--resume=") != nullptr) {
-    std::fprintf(stderr,
-                 "--journal/--resume cannot combine with --procs: the shard "
-                 "journals under --shard-dir are the journal of a "
-                 "multi-process run (re-running with the same --shard-dir "
-                 "resumes)\n");
+/// False (after a diagnostic) when argv names a flag that neither
+/// kStudyFlags nor `extra` holds: a misspelt or retired flag is a usage
+/// error, never silently ignored.
+bool known_flags_only(const char* cmd, int argc, char** argv,
+                      std::span<const std::string_view> extra = {}) {
+  std::vector<std::string_view> known(std::begin(kStudyFlags),
+                                      std::end(kStudyFlags));
+  known.insert(known.end(), extra.begin(), extra.end());
+  if (const auto bad = core::args::unknown_flag(argc, argv, 2, known)) {
+    std::fprintf(stderr, "unknown flag '%s' for '%s' (see a64fxcc usage)\n",
+                 bad->c_str(), cmd);
     return false;
   }
   return true;
@@ -285,48 +275,6 @@ bool flush_obs(ObsSetup& obs) {
   return ok;
 }
 
-/// Merged-artifact flush for the multi-process path.  The parent's own
-/// tracer/sink see almost nothing under --procs (workers run in their
-/// own processes), so `--trace`/`--metrics` aggregate instead: every
-/// worker's telemetry shards from the shard dir, the supervisor's
-/// lifecycle spans, and the parent sink's event-folded counters merge
-/// into one trace and one registry.  False (after a diagnostic) when
-/// the shards cannot be read or an artifact cannot be written — a
-/// requested artifact silently missing its workers' data is the bug
-/// this replaces.
-bool flush_obs_distrib(ObsSetup& obs, const distrib::Supervisor& sup) {
-  if (obs.trace_path == nullptr && obs.metrics_path == nullptr) return true;
-  obs::Aggregator agg;
-  if (!sup.load_telemetry(agg)) {
-    std::fprintf(stderr, "cannot read telemetry shards under '%s'\n",
-                 sup.options().shard_dir.c_str());
-    return false;
-  }
-  bool ok = true;
-  if (obs.trace_path != nullptr &&
-      !obs::write_merged_trace(agg, obs.trace_path)) {
-    std::fprintf(stderr, "cannot write trace '%s'\n", obs.trace_path);
-    ok = false;
-  }
-  if (obs.metrics_path != nullptr) {
-    if (obs.metrics) agg.add_registry(obs.metrics->snapshot());
-    if (!obs::write_registry(agg.merged_registry(), obs.metrics_path)) {
-      std::fprintf(stderr, "cannot write metrics '%s'\n", obs.metrics_path);
-      ok = false;
-    }
-  }
-  if (obs.level != exec::LogLevel::Quiet) {
-    const auto& st = agg.stats();
-    std::fprintf(stderr,
-                 "telemetry: %zu span(s) from %zu trace shard(s), %zu cell "
-                 "record(s) from %zu metrics shard(s) (%zu superseded, %zu "
-                 "torn lines skipped)\n",
-                 st.spans, st.trace_shards, st.cells, st.metrics_shards,
-                 st.duplicate_cells, st.skipped_lines);
-  }
-  return ok;
-}
-
 /// One stderr line per failed cell after a study completes (the table
 /// itself shows only the short CE/RE/TO/XX markers).
 void report_failures(const report::Table& t) {
@@ -394,6 +342,9 @@ int cmd_list(const std::string& suite) {
 }
 
 int cmd_table(const std::string& suite, int argc, char** argv) {
+  constexpr std::string_view kTableFlags[] = {"--csv", "--json", "--md",
+                                              "--decisions"};
+  if (!known_flags_only("table", argc, argv, kTableFlags)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
   auto benches = suite_by_name(suite, scale);
@@ -404,34 +355,12 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
   core::StudyOptions opt;
   opt.scale = scale;
   if (!arg_jobs(argc, argv, &opt.jobs)) return 1;
-  DistribFlags df;
-  if (!parse_distrib_flags(argc, argv, &df)) return 1;
   ObsSetup obs;
   if (!apply_obs_flags(argc, argv, opt, obs)) return 1;
   core::Journal journal;
   if (!apply_policy_flags(argc, argv, opt, journal)) return 1;
-  report::Table t;
-  std::optional<core::Study> study;          // in-process path only
-  std::optional<distrib::Supervisor> sup;    // multi-process path only
-  if (df.procs > 0) {
-    distrib::SupervisorOptions sopt;
-    sopt.study = std::move(opt);
-    sopt.procs = df.procs;
-    sopt.shard_dir = df.shard_dir;
-    sopt.lease_deadline_seconds = df.lease_deadline;
-    sopt.telemetry =
-        obs.trace_path != nullptr || obs.metrics_path != nullptr;
-    sup.emplace(std::move(sopt));
-    try {
-      t = sup->run_suite(benches);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "%s\n", e.what());
-      return 2;
-    }
-  } else {
-    study.emplace(std::move(opt));
-    t = study->run_suite(benches);
-  }
+  const core::Study study(std::move(opt));
+  const report::Table t = study.run_suite(benches);
   report_failures(t);
   if (has_flag(argc, argv, "--csv"))
     std::fputs(report::render_csv(t).c_str(), stdout);
@@ -443,12 +372,10 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
     std::fputs(report::render_ansi(t).c_str(), stdout);
   if (has_flag(argc, argv, "--decisions"))
     std::fputs(report::render_decisions_csv(t).c_str(), stdout);
-  if (study) {
-    if (has_flag(argc, argv, "--cache-stats"))
-      std::fputs(study->cache_service().stats_text().c_str(), stderr);
-    if (obs.metrics) obs.metrics->fold_cache_stats(study->cache_service());
-  }
-  const bool obs_ok = sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs);
+  if (has_flag(argc, argv, "--cache-stats"))
+    std::fputs(study.cache_service().stats_text().c_str(), stderr);
+  if (obs.metrics) obs.metrics->fold_cache_stats(study.cache_service());
+  const bool obs_ok = flush_obs(obs);
   const auto s = core::summarize(t);
   std::printf("\nmedian best-compiler gain: %.3fx (mean %.3fx, peak %.3fx)\n",
               s.median_best_gain, s.mean_best_gain, s.max_best_gain);
@@ -456,6 +383,7 @@ int cmd_table(const std::string& suite, int argc, char** argv) {
 }
 
 int cmd_run(const std::string& name, int argc, char** argv) {
+  if (!known_flags_only("run", argc, argv)) return 1;
   double scale = 0.25;
   if (!arg_scale(argc, argv, &scale)) return 1;
   for (auto& b : kernels::all_benchmarks(scale)) {
@@ -463,44 +391,20 @@ int cmd_run(const std::string& name, int argc, char** argv) {
     core::StudyOptions opt;
     opt.scale = scale;
     if (!arg_jobs(argc, argv, &opt.jobs)) return 1;
-    DistribFlags df;
-    if (!parse_distrib_flags(argc, argv, &df)) return 1;
     ObsSetup obs;
     if (!apply_obs_flags(argc, argv, opt, obs)) return 1;
     core::Journal journal;
     if (!apply_policy_flags(argc, argv, opt, journal)) return 1;
     std::vector<kernels::Benchmark> one;
     one.push_back(std::move(b));
-    report::Table t;
-    std::optional<core::Study> study;
-    std::optional<distrib::Supervisor> sup;
-    if (df.procs > 0) {
-      distrib::SupervisorOptions sopt;
-      sopt.study = std::move(opt);
-      sopt.procs = df.procs;
-      sopt.shard_dir = df.shard_dir;
-      sopt.lease_deadline_seconds = df.lease_deadline;
-      sopt.telemetry =
-          obs.trace_path != nullptr || obs.metrics_path != nullptr;
-      sup.emplace(std::move(sopt));
-      try {
-        t = sup->run_suite(one);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s\n", e.what());
-        return 2;
-      }
-    } else {
-      study.emplace(std::move(opt));
-      t = study->run_suite(one);
-    }
+    const core::Study study(std::move(opt));
+    const report::Table t = study.run_suite(one);
     report_failures(t);
     std::fputs(report::render_ansi(t).c_str(), stdout);
-    if (study) {
-      if (has_flag(argc, argv, "--cache-stats"))
-        std::fputs(study->cache_service().stats_text().c_str(), stderr);
-      if (obs.metrics) obs.metrics->fold_cache_stats(study->cache_service());
-    }
-    return (sup ? flush_obs_distrib(obs, *sup) : flush_obs(obs)) ? 0 : 2;
+    if (has_flag(argc, argv, "--cache-stats"))
+      std::fputs(study.cache_service().stats_text().c_str(), stderr);
+    if (obs.metrics) obs.metrics->fold_cache_stats(study.cache_service());
+    return flush_obs(obs) ? 0 : 2;
   }
   std::fprintf(stderr, "unknown benchmark '%s' (try: a64fxcc list)\n",
                name.c_str());
@@ -612,21 +516,6 @@ int cmd_explain(const std::string& name, const std::string& compiler_name,
   return 1;
 }
 
-int cmd_status(int argc, char** argv) {
-  std::string dir = "a64fxcc-shards";
-  if (const char* v = arg_value(argc, argv, "--shard-dir=")) dir = v;
-  const auto st = distrib::load_status(dir + "/status.json");
-  if (!st) {
-    std::fprintf(stderr,
-                 "no readable status.json under '%s' (a supervisor running "
-                 "with --procs publishes one; it remains after the run)\n",
-                 dir.c_str());
-    return 2;
-  }
-  std::fputs(distrib::render_status(*st).c_str(), stdout);
-  return 0;
-}
-
 int cmd_obs_report(int argc, char** argv) {
   std::vector<std::string> paths;
   for (int i = 3; i < argc; ++i)
@@ -696,12 +585,11 @@ void usage() {
       "  list [suite]                  suites: micro polybench top500 ecp fiber\n"
       "                                        spec-cpu spec-omp all\n"
       "  table <suite> [--scale=f] [--jobs=N] [--csv|--json|--md] [--decisions]\n"
-      "                [--procs=N] [--shard-dir=DIR] [--lease-deadline=SECONDS]\n"
       "                [--log-level=quiet|progress|debug] [--progress]\n"
       "                [--trace=PATH] [--metrics=PATH]\n"
       "                [--retries=N] [--deadline=SECONDS] [--fail-fast]\n"
       "                [--resume=PATH] [--journal=PATH]\n"
-      "                [--inject-faults=compile:P,runtime:P,hang:P,crash:P]\n"
+      "                [--inject-faults=compile:P,runtime:P,hang:P]\n"
       "                [--no-estimate-cache] [--no-analysis-cache]\n"
       "                [--no-batch-evaluate]\n"
       "                [--placement-search=exhaustive|halving] [--search-keep=K]\n"
@@ -731,28 +619,14 @@ void usage() {
       "                                   # --jobs absent = all hardware\n"
       "                                   # threads, --jobs=1 = serial; output\n"
       "                                   # is bit-identical for any N\n"
-      "                                   # --procs=N forks N crash-isolated\n"
-      "                                   # worker processes leasing cells from\n"
-      "                                   # a durable queue under --shard-dir\n"
-      "                                   # (default a64fxcc-shards); a worker\n"
-      "                                   # holding a lease past\n"
-      "                                   # --lease-deadline (default 30s) is\n"
-      "                                   # presumed hung and its cells\n"
-      "                                   # re-leased.  Tables are byte-\n"
-      "                                   # identical for any N, even across\n"
-      "                                   # kill -9; re-running with the same\n"
-      "                                   # --shard-dir resumes\n"
       "                                   # --resume restores completed cells\n"
       "                                   # from a journal and appends new ones\n"
       "                                   # --trace = Chrome trace_event JSON,\n"
       "                                   # --metrics = counters/histograms JSON;\n"
       "                                   # both diagnostics-only (identical\n"
-      "                                   # tables on or off).  With --procs\n"
-      "                                   # the artifacts merge every worker's\n"
-      "                                   # telemetry shards plus the\n"
-      "                                   # supervisor's lifecycle spans\n"
+      "                                   # tables on or off)\n"
+      "                                   # unknown flags exit 1\n"
       "  run <benchmark> [--scale=f] [--jobs=N] [--retries=N] [--deadline=s]\n"
-      "                  [--procs=N] [--shard-dir=DIR] [--lease-deadline=s]\n"
       "                  [--resume=PATH] [--journal=PATH] [--inject-faults=SPEC]\n"
       "                  [--no-estimate-cache] [--no-analysis-cache]\n"
       "                  [--no-batch-evaluate]\n"
@@ -764,9 +638,6 @@ void usage() {
       "                                   # which pass fired/was blocked, and\n"
       "                                   # why, per compiler (plus per-pass\n"
       "                                   # analysis cache hit/miss traffic)\n"
-      "  status [--shard-dir=DIR]         # render the live status.json a\n"
-      "                                   # --procs supervisor publishes\n"
-      "                                   # (atomic-renamed; survives kill -9)\n"
       "  obs report <A.json> [B.json] [--threshold=f]\n"
       "                                   # summarize one --trace/--metrics\n"
       "                                   # artifact, or diff two runs:\n"
@@ -796,7 +667,6 @@ int main(int argc, char** argv) {
   if (cmd == "table") return cmd_table(a2, argc, argv);
   if (cmd == "run") return cmd_run(a2, argc, argv);
   if (cmd == "explain") return cmd_explain(a2, a3, argc, argv);
-  if (cmd == "status") return cmd_status(argc, argv);
   if (cmd == "obs" && a2 == "report") return cmd_obs_report(argc, argv);
   if (cmd == "show") return cmd_show(a2, a3);
   if (cmd == "file") return cmd_file(a2, a3);
