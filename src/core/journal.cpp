@@ -5,27 +5,12 @@
 #include <cstring>
 #include <fstream>
 
+#include "cache/fingerprint.hpp"
 #include "exec/jsonio.hpp"
 
 namespace a64fxcc::core {
 
 namespace {
-
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-std::uint64_t hash_str(const std::string& s) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (const char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
 
 // The line codec lives in exec/jsonio.hpp, shared with the obs
 // exporters and the `obs report` parser: one escaping convention.
@@ -39,9 +24,14 @@ using exec::jsonio::get_str;
 std::uint64_t Journal::cell_key(std::uint64_t seed,
                                 const compilers::CompilerSpec& spec,
                                 const ir::Kernel& kernel, bool apply_quirks) {
-  std::uint64_t h = mix(seed);
-  h ^= mix(compilers::fingerprint(spec) ^ hash_str(spec.name));
-  h ^= mix(compilers::fingerprint(kernel) + (apply_quirks ? 1 : 0));
+  using cache::mix64;
+  std::uint64_t h = mix64(seed);
+  h ^= mix64(compilers::fingerprint(spec) ^ cache::fnv1a(spec.name));
+  h ^= mix64(compilers::fingerprint(kernel) + (apply_quirks ? 1 : 0));
+  // The noise generator is part of what a stored cell measured: lines
+  // written under an earlier generator (keyed without this term) miss
+  // and re-evaluate instead of restoring into a table of new draws.
+  h ^= mix64(runtime::kNoiseGeneratorVersion);
   return h;
 }
 

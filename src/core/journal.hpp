@@ -13,9 +13,10 @@
 // was measured — resuming never perturbs the determinism contract.
 //
 // The key covers (seed, compiler spec fingerprint + name, kernel
-// fingerprint, quirk mode): any change to the study configuration —
-// scale, seed, compiler knobs — changes the keys and the stale journal
-// entries are simply never matched.
+// fingerprint, quirk mode, noise generator version): any change to the
+// study configuration — scale, seed, compiler knobs — or to the noise
+// generator changes the keys and the stale journal entries are simply
+// never matched.
 
 #include <cstdint>
 #include <cstdio>
@@ -51,7 +52,8 @@ class Journal {
 
   /// Stable identity of one cell evaluation, built from the
   /// CompileCache fingerprints of the compiler spec and the kernel (IR
-  /// + bound parameters) plus the study seed and quirk mode.
+  /// + bound parameters) plus the study seed, quirk mode and
+  /// runtime::kNoiseGeneratorVersion.
   [[nodiscard]] static std::uint64_t cell_key(std::uint64_t seed,
                                               const compilers::CompilerSpec& spec,
                                               const ir::Kernel& kernel,

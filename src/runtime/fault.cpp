@@ -3,21 +3,10 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "cache/fingerprint.hpp"
 #include "runtime/harness.hpp"
 
 namespace a64fxcc::runtime {
-
-namespace {
-
-// splitmix64 finalizer — same mixer family as the harness noise streams.
-std::uint64_t mix(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 const char* to_string(FaultKind k) {
   switch (k) {
@@ -31,14 +20,14 @@ const char* to_string(FaultKind k) {
 
 double hash_u01(std::uint64_t h) {
   // 53 mantissa bits -> [0, 1).
-  return static_cast<double>(mix(h) >> 11) * 0x1.0p-53;
+  return static_cast<double>(cache::mix64(h) >> 11) * 0x1.0p-53;
 }
 
 FaultKind FaultPlan::decide(std::uint64_t seed, const std::string& benchmark,
                             const std::string& compiler, int attempt) const {
   if (!enabled()) return FaultKind::None;
   const std::uint64_t stream = cell_stream(benchmark, compiler);
-  const double u = hash_u01(mix(seed ^ salt) ^ stream ^
+  const double u = hash_u01(cache::mix64(seed ^ salt) ^ stream ^
                             (0xA77E0000ULL + static_cast<std::uint64_t>(attempt)));
   if (u < compile) return FaultKind::Compile;
   if (u < compile + runtime) return FaultKind::Runtime;

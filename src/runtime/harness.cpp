@@ -4,8 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <numbers>
 #include <numeric>
-#include <random>
 #include <thread>
 
 #include "cache/fingerprint.hpp"
@@ -35,7 +35,7 @@ std::uint64_t cell_stream(const std::string& benchmark,
                           const std::string& compiler) {
   // The shared tier primitives produce the same bits as the private
   // hash_str/hash_mix pair this file used to carry: every historical
-  // noise stream (and the journal results derived from them) persists.
+  // stream id persists.
   return cache::fnv1a(benchmark) ^ cache::mix64(cache::fnv1a(compiler));
 }
 
@@ -245,13 +245,24 @@ double Harness::model_time(const compilers::CompilerSpec& spec,
 double noise_sample(std::uint64_t seed, std::uint64_t stream, double t,
                     double cv) {
   if (cv <= 0 || !std::isfinite(t)) return t;
-  // Fresh engine per sample — the documented single-draw-stream contract
-  // (see harness.hpp): a sample depends only on (seed, stream, t, cv).
-  std::mt19937_64 rng(cache::mix64(seed ^ stream));
-  std::normal_distribution<double> n(0.0, 1.0);
+  // Counter-based draw (see harness.hpp): the key is a pure function of
+  // (seed, stream), and the seed is hashed on its own first so its bits
+  // cannot cancel against the low bits of a substream id.
+  const std::uint64_t k = cache::mix64(cache::mix64(seed) ^ stream);
+  // Two SplitMix64 outputs of state k (mix64 adds the SplitMix64
+  // increment itself), each cut to a 53-bit uniform: u1 in (0, 1] so
+  // the log below is finite, u2 in [0, 1).
+  constexpr std::uint64_t kGamma = 0x9e3779b97f4a7c15ULL;
+  const double u1 =
+      static_cast<double>((cache::mix64(k) >> 11) + 1) * 0x1.0p-53;
+  const double u2 =
+      static_cast<double>(cache::mix64(k + kGamma) >> 11) * 0x1.0p-53;
+  // Box–Muller: one standard normal from the pair.
+  const double z = std::sqrt(-2.0 * std::log(u1)) *
+                   std::cos(2.0 * std::numbers::pi * u2);
   // Lognormal multiplicative noise; sigma chosen so the sample CV ~ cv.
   const double sigma = std::sqrt(std::log1p(cv * cv));
-  return t * std::exp(sigma * n(rng));
+  return t * std::exp(sigma * z);
 }
 
 double Harness::noisy(double t, double cv, std::uint64_t stream) const {

@@ -15,8 +15,9 @@
 // faithful yet bit-reproducible.
 
 // Determinism contract: every noise draw for one (benchmark, compiler)
-// cell derives from `seed ^ cell_stream(benchmark, compiler)` — a
-// per-cell RNG stream, not a shared sequence — so a cell's MeasuredRun
+// cell is keyed on the seed and a substream of
+// `cell_stream(benchmark, compiler)` — a per-cell counter-based stream,
+// not a shared sequence — so a cell's MeasuredRun
 // is a pure function of (seed, benchmark, compiler) and the execution
 // engine can evaluate cells in any order, on any worker, with
 // bit-identical results to the serial path.
@@ -48,16 +49,29 @@ namespace a64fxcc::runtime {
 /// `cv`, drawn from the stream identified by (seed, stream).
 ///
 /// Seeding contract (deliberate, relied on by the engine's any-order
-/// parallelism and asserted by test_runtime): every sample comes from a
-/// FRESH mt19937_64 seeded with hash_mix(seed ^ stream) — each (seed,
-/// stream) pair is an independent single-draw stream, so a sample is a
-/// pure function of (seed, stream, t, cv) with no draw-order state.
-/// Equal streams give bit-equal samples by design; distinct streams are
-/// decorrelated by the hash mixing.  This is why the harness derives a
-/// distinct substream id per (cell, phase, trial) rather than drawing a
-/// sequence from one generator.
+/// parallelism and asserted by test_runtime): a sample is a pure,
+/// counter-based function of (seed, stream, t, cv) — no engine object,
+/// no draw-order state.  The key is mix64(mix64(seed) ^ stream); two
+/// SplitMix64 outputs of it give 53-bit uniforms u1 in (0, 1] and u2 in
+/// [0, 1), and an in-repo Box–Muller transform turns them into one
+/// standard normal z (after Salmon et al., "Parallel Random Numbers: As
+/// Easy as 1, 2, 3", SC'11).  The result is t * exp(sigma * z) with
+/// sigma = sqrt(log1p(cv^2)).  Equal (seed, stream) pairs give bit-equal
+/// samples by design — this is why the harness derives a distinct
+/// substream id per (cell, phase, trial).  Hashing the seed before it
+/// meets the stream keeps seeds s and s^1 from merely permuting the
+/// substreams, and no libstdc++ distribution is involved, so the draws
+/// do not depend on the standard library.
 [[nodiscard]] double noise_sample(std::uint64_t seed, std::uint64_t stream,
                                   double t, double cv);
+
+/// Version of the noise_sample generator.  Bumped whenever the draws
+/// change for an unchanged (seed, stream); the resume journal folds it
+/// into its cell key so results measured under another generator never
+/// restore.  History: 1 — fresh mt19937_64 + std::normal_distribution
+/// per draw (implicit: those keys carry no version term); 2 — the
+/// counter-based SplitMix64 + Box–Muller draw above.
+inline constexpr std::uint64_t kNoiseGeneratorVersion = 2;
 
 struct Placement {
   int ranks = 1;

@@ -19,7 +19,7 @@
 //      Band members are unprunable: multiplicative noise of the
 //      observed magnitude can still reorder them, so they must all be
 //      measured.  (Across every current suite x compiler x {4 scales,
-//      5 seeds} the exhaustively-chosen placement sits at most 3.11
+//      20 seeds} the exhaustively-chosen placement sits at most 3.42
 //      sigma above the frontier minimum; the band keeps 10.)
 //   3. Halving rounds: the frontier is repeatedly cut to
 //      max(keep-floor, band size, ceil(frontier/2)) until a round can
@@ -88,7 +88,7 @@ struct SearchPlan {
 class PlacementSearch {
  public:
   /// Sigmas of lognormal head room the band keeps.  The empirical
-  /// requirement over every current suite is 3.11; 10 leaves a wide
+  /// requirement over every current suite is 3.42; 10 leaves a wide
   /// margin (a pruned candidate would need a >7-sigma pair of draws to
   /// beat a survivor) while still pruning ~3.5x of all candidates.
   static constexpr double kBandSigmas = 10.0;

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "cache/fingerprint.hpp"
 #include "core/journal.hpp"
 #include "core/study.hpp"
 #include "runtime/fault.hpp"
@@ -532,6 +533,52 @@ TEST(Resume, SecondRunRestoresEverythingWithoutRecompiling) {
   const auto clean = core::Study(std::move(clean_opt)).run_suite(suite);
   expect_identical_cells(t, clean);
   EXPECT_EQ(study.harness().compile_cache().stats().misses, 0u);
+  std::remove(path.c_str());
+}
+
+TEST(Resume, JournalLinesFromAnEarlierNoiseGeneratorAreNotRestored) {
+  // A journal written before the noise generator changed holds valid
+  // cells keyed by the previous formula (no generator-version term).
+  // Restoring them would splice old-generator draws into a new table, so
+  // they must miss and re-evaluate.
+  const std::string path = testing::TempDir() + "a64fxcc_resume_oldgen.jsonl";
+  std::remove(path.c_str());
+  const auto suite = kernels::top500_suite(0.05);
+  core::StudyOptions clean_opt;
+  clean_opt.scale = 0.05;
+  const core::Study clean_study(std::move(clean_opt));
+  const auto clean = clean_study.run_suite(suite);
+  const auto& specs = clean_study.options().compilers;
+  {
+    std::ofstream f(path);
+    for (std::size_t r = 0; r < suite.size(); ++r)
+      for (std::size_t c = 0; c < specs.size(); ++c) {
+        using cache::mix64;
+        const std::uint64_t seed = clean_study.options().seed;
+        const std::uint64_t old_key =
+            mix64(seed) ^
+            mix64(compilers::fingerprint(specs[c]) ^
+                  cache::fnv1a(specs[c].name)) ^
+            mix64(compilers::fingerprint(suite[r].kernel) + 1);
+        ASSERT_NE(old_key, core::Journal::cell_key(seed, specs[c],
+                                                   suite[r].kernel, true));
+        core::JournalEntry e{old_key, clean.rows[r].cells[c]};
+        ASSERT_TRUE(e.run.valid());
+        e.run.best_seconds *= 2;  // a value no new-generator run measures
+        f << core::Journal::encode(e) << "\n";
+      }
+  }
+  core::Journal j;
+  EXPECT_EQ(j.load(path), suite.size() * specs.size());
+  core::StudyOptions resume;
+  resume.scale = 0.05;
+  resume.journal = &j;
+  const core::Study study(std::move(resume));
+  expect_identical_cells(study.run_suite(suite), clean);
+  // Every cell was measured again rather than restored: each of the
+  // distinct (compiler, kernel) pairs compiled.
+  EXPECT_GE(study.harness().compile_cache().stats().misses,
+            suite.size() * specs.size());
   std::remove(path.c_str());
 }
 

@@ -8,9 +8,11 @@
 #include <cmath>
 #include <cstddef>
 #include <limits>
+#include <utility>
 #include <vector>
 
 #include "kernels/archetypes.hpp"
+#include "kernels/benchmark.hpp"
 #include "runtime/harness.hpp"
 #include "runtime/search.hpp"
 
@@ -211,9 +213,9 @@ TEST(Harness, BestOfTenBelowModelTime) {
 
 TEST(NoiseSample, SeedingContractIsPureAndStreamKeyed) {
   // The documented seeding contract (harness.hpp): each (seed, stream)
-  // pair is an independent single-draw stream — a fresh engine per
-  // sample, NOT a sequence from a shared generator.  A sample is a pure
-  // function of (seed, stream, t, cv):
+  // pair is hashed into a counter-based key and the sample is computed
+  // from that key alone — NOT drawn in sequence from a shared
+  // generator.  A sample is a pure function of (seed, stream, t, cv):
   const double a = runtime::noise_sample(42, 7, 1.0, 0.1);
   EXPECT_EQ(a, runtime::noise_sample(42, 7, 1.0, 0.1));  // bitwise stable
   // Equal streams give bit-equal samples by design (this is why the
@@ -224,13 +226,80 @@ TEST(NoiseSample, SeedingContractIsPureAndStreamKeyed) {
   EXPECT_NE(a, runtime::noise_sample(42, 8, 1.0, 0.1));
   EXPECT_NE(a, runtime::noise_sample(43, 7, 1.0, 0.1));
   // Draw-order independence: interleaving other draws cannot perturb a
-  // stream (no shared generator state to advance).
+  // stream (there is no generator state to advance).
   (void)runtime::noise_sample(42, 1000, 1.0, 0.1);
   EXPECT_EQ(a, runtime::noise_sample(42, 7, 1.0, 0.1));
   // cv <= 0 and non-finite t pass through untouched.
   EXPECT_EQ(runtime::noise_sample(42, 7, 3.5, 0.0), 3.5);
   const double inf = std::numeric_limits<double>::infinity();
   EXPECT_EQ(runtime::noise_sample(42, 7, inf, 0.1), inf);
+}
+
+TEST(NoiseSample, GoldenDrawsPinTheGeneratorVersion) {
+  // The resume journal folds kNoiseGeneratorVersion into its cell key
+  // (harness.hpp), so under one version the draw for a fixed (seed,
+  // stream) must never change.  If these values move, bump
+  // kNoiseGeneratorVersion and update it and the values here together.
+  // The tolerance is far below any change of the draw and above the
+  // last-ulp drift a different libm may give exp/log/cos.
+  EXPECT_EQ(runtime::kNoiseGeneratorVersion, 2u);
+  EXPECT_NEAR(runtime::noise_sample(42, 7, 1.0, 0.1), 0.89471885578534494,
+              1e-12);
+  EXPECT_NEAR(runtime::noise_sample(43, 7, 1.0, 0.1), 0.85245138067314619,
+              1e-12);
+  EXPECT_NEAR(runtime::noise_sample(0, 0, 1.0, 0.1), 1.2153247526816631,
+              1e-12);
+}
+
+TEST(NoiseSample, StandardizedLogFactorIsStandardNormal) {
+  // log(sample / t) / sigma must be N(0, 1) over many distinct streams:
+  // the Box–Muller draw is the whole distribution, so its first two
+  // moments are checked directly (2^18 draws: the bounds are > 4 standard
+  // errors wide).
+  const double cv = 0.1;
+  const double sigma = std::sqrt(std::log1p(cv * cv));
+  constexpr std::uint64_t kStreams = 1 << 18;
+  double sum = 0;
+  double sum_sq = 0;
+  for (std::uint64_t s = 0; s < kStreams; ++s) {
+    const double z =
+        std::log(runtime::noise_sample(42, s, 1.0, cv)) / sigma;
+    ASSERT_TRUE(std::isfinite(z)) << "stream " << s;
+    sum += z;
+    sum_sq += z * z;
+  }
+  const double n = static_cast<double>(kStreams);
+  const double mean = sum / n;
+  const double sd = std::sqrt((sum_sq - n * mean * mean) / (n - 1));
+  EXPECT_NEAR(mean, 0.0, 0.01);
+  EXPECT_NEAR(sd, 1.0, 0.01);
+}
+
+TEST(NoiseSample, NeighbouringSeedsDoNotAliasCells) {
+  // Seeds s and s^1 must give independent studies.  The measure-phase
+  // substreams are base ^ (0xABCD0000 + r), so a generator keyed on
+  // seed ^ stream would only permute the ten runs between the two seeds
+  // and repeat most best-of-10 values bit for bit.
+  const auto suite = kernels::all_benchmarks(0.25);
+  const auto specs = compilers::paper_compilers();
+  for (const auto& [a, b] : {std::pair<std::uint64_t, std::uint64_t>{42, 43},
+                             std::pair<std::uint64_t, std::uint64_t>{10, 11}}) {
+    const Harness ha = make_harness(a);
+    const Harness hb = make_harness(b);
+    int ok = 0;
+    int same = 0;
+    for (const auto& bench : suite)
+      for (const auto& spec : specs) {
+        const auto ma = ha.run(spec, bench);
+        const auto mb = hb.run(spec, bench);
+        if (!ma.valid() || !mb.valid()) continue;
+        ++ok;
+        if (ma.best_seconds == mb.best_seconds) ++same;
+      }
+    ASSERT_GT(ok, 500) << "seeds " << a << "/" << b;
+    EXPECT_LE(same, ok / 50) << "seeds " << a << "/" << b << ": " << same
+                             << " of " << ok << " cells bit-identical";
+  }
 }
 
 TEST(NoiseSample, HarnessSamplesDeriveFromCellSubstreams) {
